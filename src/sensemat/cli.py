@@ -10,6 +10,7 @@ exit nonzero after printing a single ``error: ...`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -182,9 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: a build costs milliseconds and leaves
+    # cyclic garbage behind, which adds up over many in-process calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, SearchBudgetError, ValueError, OSError) as exc:

@@ -19,9 +19,10 @@ Energy: ``e_sense`` per actual sensing, ``e_ho`` per retune between a
 user's consecutive attended mini-slots.
 
 Reports are deterministic: the same ``SimConfig`` (including the seed)
-always produces the same ``SimReport``, bit for bit, on either kernel
-path.  Randomness is pre-drawn positionally per (slot, user, mini-slot),
-so skipped draws do not shift anyone else's stream.
+always produces the same ``SimReport``, bit for bit, whether the slots run
+through the vectorized kernel or its scalar oracle.  Randomness is
+pre-drawn positionally per (slot, user, mini-slot), so skipped draws do
+not shift anyone else's stream.
 """
 
 from __future__ import annotations

@@ -24,7 +24,10 @@ import numpy as np
 from . import _kernels
 from .model import ChannelProfile, TimingConfig, as_matrix, check_feasible, rate_table
 
-#: enumerating 2**n_channels primary patterns stays tractable up to here
+#: enumerating 2**n_channels primary patterns stays tractable up to here:
+#: with four users on full rows the exact kernel costs about 0.13 us per
+#: pattern on 14 channels and 0.26 us on 25 (2-vCPU Xeon), so a 25-channel
+#: call takes about 9 s, in fixed memory
 MAX_EXACT_CHANNELS = 25
 
 #: default cap on candidates the exhaustive search will evaluate

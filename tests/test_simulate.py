@@ -207,14 +207,14 @@ def test_kernel_paths_bit_identical(monkeypatch):
         profile=PROF5, timing=TIMING, quality=SensingQuality(0.12, 0.9, 0.7),
         n_su=3, n_slots=400, seed=123, allocator="pmsms",
     )
-    compiled = run_simulation(cfg)
+    vectorized = run_simulation(cfg)
     monkeypatch.setattr(_kernels, "simulate_slots", _kernels.simulate_slots_py)
-    fallback = run_simulation(cfg)
-    assert np.array_equal(compiled.per_su_throughput, fallback.per_su_throughput)
-    assert compiled.network_throughput == fallback.network_throughput
-    assert compiled.network_throughput_se == fallback.network_throughput_se
-    assert compiled.su_collisions == fallback.su_collisions
-    assert compiled.pu_interference_events == fallback.pu_interference_events
-    assert compiled.sensing_energy_mean == fallback.sensing_energy_mean
-    assert compiled.handover_energy_mean == fallback.handover_energy_mean
-    assert np.array_equal(compiled.per_su_sensing_mean, fallback.per_su_sensing_mean)
+    oracle = run_simulation(cfg)
+    assert np.array_equal(vectorized.per_su_throughput, oracle.per_su_throughput)
+    assert vectorized.network_throughput == oracle.network_throughput
+    assert vectorized.network_throughput_se == oracle.network_throughput_se
+    assert vectorized.su_collisions == oracle.su_collisions
+    assert vectorized.pu_interference_events == oracle.pu_interference_events
+    assert vectorized.sensing_energy_mean == oracle.sensing_energy_mean
+    assert vectorized.handover_energy_mean == oracle.handover_energy_mean
+    assert np.array_equal(vectorized.per_su_sensing_mean, oracle.per_su_sensing_mean)
