@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import SCHEMA, ConfigError, parse_config
 from .experiments import PRESETS, run_experiment_sweep
-from .model import as_matrix
+from .model import as_matrix, validate_matrix
 from .simulate import build_variant_matrices, run_simulation
 from .throughput import (
     SearchBudgetError,
@@ -53,12 +53,16 @@ def _print_matrix(sm) -> None:
         print(" ".join(str(int(c)) for c in row))
 
 
-def _parse_matrix_arg(text: str):
+def _parse_matrix_arg(text: str, profile):
     rows = [
         [int(tok) for tok in row.replace(",", " ").split()]
         for row in text.split(";")
     ]
-    return as_matrix(rows)
+    sm = as_matrix(rows)
+    problems = validate_matrix(sm, profile)
+    if problems:
+        raise ValueError("bad --matrix: " + "; ".join(problems))
+    return sm
 
 
 def _cmd_allocate(args) -> int:
@@ -74,7 +78,7 @@ def _cmd_allocate(args) -> int:
 def _cmd_analyze(args) -> int:
     cfg = _config_from(args)
     if args.matrix is not None:
-        sm = _parse_matrix_arg(args.matrix)
+        sm = _parse_matrix_arg(args.matrix, cfg.profile)
     else:
         sim = cfg.sim_config()
         matrices = build_variant_matrices(sim)
@@ -108,7 +112,8 @@ def _cmd_simulate(args) -> int:
     cfg = _config_from(args)
     sim = cfg.sim_config()
     if args.matrix is not None:
-        sim = cfg.sim_config(matrix=_parse_matrix_arg(args.matrix), rebuild_per_slot=False)
+        sim = cfg.sim_config(matrix=_parse_matrix_arg(args.matrix, cfg.profile),
+                             rebuild_per_slot=False)
     report = run_simulation(sim)
     print(f"n_slots={report.n_slots}")
     print(f"seed={report.seed}")

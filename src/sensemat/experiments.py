@@ -2,11 +2,13 @@
 
 Each preset regenerates one of the headline result curves:
 
-* ``fig4``  error-free greedy vs the exhaustive optimum across sensing times
+* ``fig4``  error-free greedy vs the exhaustive (repetition-free by default)
+            optimum across sensing times
 * ``fig5``  per-user throughput and fairness across sensing times
 * ``fig6``  search-energy comparison across a homogeneous free probability
 * ``fig7``  greedy variants across sensing times with the detector-mapped
-            false-alarm probability
+            false-alarm probability (pmsms at persistence 0.8 unless
+            the config sets one below 1)
 * ``fig8``  persistence sweep for a crowded network (8 users, 5 channels)
 
 CSV files are UTF-8: one ``#`` metadata line (tool version, seed, config
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .allocators import build_msms_matrix, build_pmsms_matrix, build_sms_matrix
-from .config import ConfigError, ExperimentConfig
+from .config import SCHEMA, ConfigError, ExperimentConfig
 from .energy import (
     full_sequence_sensing_energy,
     homogeneous_energy_closed_form,
@@ -232,19 +234,34 @@ def _fig8(cfg: ExperimentConfig):
     return columns, rows, notes
 
 
+def _sweep_value(var: str, kind: str, value):
+    """Coerce one custom-sweep value to the type its config key holds."""
+    if kind == "float":
+        return float(value)
+    if float(value).is_integer():
+        return int(value)
+    raise ConfigError(f"{var} takes whole numbers, got {value!r}")
+
+
 def _custom(cfg: ExperimentConfig, var: str, values):
     if var is None or values is None:
         raise ConfigError("custom sweeps need --var and --values")
+    if var not in SCHEMA:
+        raise ConfigError(f"unknown config key {var!r}")
+    kind = SCHEMA[var][0]
+    if kind not in ("int", "float"):
+        raise ConfigError(f"{var} cannot be swept: custom sweeps take int or float keys")
     notes = {"var": var}
     columns = [var, "network_throughput", "fairness_spread",
                "sensing_energy_mean", "n_slots", "seed"]
     rows = []
     for value in values:
+        value = _sweep_value(var, kind, value)
         swept = cfg.replace(**{var: value})
         swept.validate()
         rep = run_simulation(swept.sim_config())
         rows.append([value, rep.network_throughput, rep.fairness_spread,
-                     rep.sensing_energy_mean, cfg["n_slots"], cfg["seed"]])
+                     rep.sensing_energy_mean, swept["n_slots"], swept["seed"]])
     return columns, rows, notes
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,8 @@ def false_alarm_for_sensing_time(
         raise ValueError("snr must be positive")
     if not 0.0 < target_p_d < 1.0:
         raise ValueError("target_p_d must lie in (0, 1)")
-    # gaussian tail and its inverse via the complementary error function
-    q_inv_pd = -math.sqrt(2.0) * float(special.erfcinv(2.0 * (1.0 - target_p_d)))
+    # Q^{-1}(p_d) = Phi^{-1}(1 - p_d); the tail itself via the complementary error function
+    q_inv_pd = NormalDist().inv_cdf(1.0 - target_p_d)
     arg = math.sqrt(2.0 * snr + 1.0) * q_inv_pd + math.sqrt(sensing_time * sampling_freq) * snr
     value = 0.5 * math.erfc(arg / math.sqrt(2.0))
     return min(1.0, max(0.0, value))

@@ -267,3 +267,55 @@ def test_sweep_rejects_unknown_preset():
     cfg = parse_config()
     with pytest.raises(ConfigError, match="unknown preset"):
         run_experiment_sweep("fig99", cfg)
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("matrix, problem", [
+    ("-1 0 0 0 0", "entry [0,0]=-1 outside 0..5"),   # used to wrap to channel 5
+    ("1 2", "row length 2 does not match channel count 5"),  # used to score 2 channels
+    ("6 0 0 0 0", "entry [0,0]=6 outside 0..5"),     # used to die with IndexError
+])
+def test_cli_rejects_bad_matrix_with_one_error_line(command, matrix, problem, capsys):
+    rc = main([command, "--n-su", "1", "--n-slots", "10", f"--matrix={matrix}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad --matrix: {problem}\n"
+
+
+def test_sweep_custom_int_key_takes_integral_values(tmp_path, capsys):
+    out_path = tmp_path / "n_su.csv"
+    rc = main(["sweep", "--preset", "custom", "--var", "n_su", "--values", "3,2",
+               "--n-slots", "20", "--out", str(out_path)])
+    assert rc == 0
+    _, _, rows = read_csv(str(out_path))
+    assert [r[0] for r in rows] == [2, 3]
+
+
+def test_sweep_custom_reports_the_swept_slots_and_seed(tmp_path, capsys):
+    for var, values in (("n_slots", "30,20"), ("seed", "4,5")):
+        out_path = tmp_path / f"{var}.csv"
+        assert main(["sweep", "--preset", "custom", "--var", var, "--values", values,
+                     "--n-slots", "25", "--seed", "1", "--out", str(out_path)]) == 0
+        _, columns, rows = read_csv(str(out_path))
+        assert [r[columns.index(var)] for r in rows] == [r[0] for r in rows]
+
+
+@pytest.mark.parametrize("var, values, message", [
+    ("seed", "1.5", "seed takes whole numbers"),
+    ("n_su", "2.5", "n_su takes whole numbers"),
+    ("p0", "0.5", "p0 cannot be swept"),
+    ("rebuild_per_slot", "1", "rebuild_per_slot cannot be swept"),
+    ("allocator", "1", "allocator cannot be swept"),
+    ("bogus", "1", "unknown config key 'bogus'"),
+    ("n_su", "0", "n_su must be >= 1"),
+])
+def test_sweep_custom_rejects_values_its_key_cannot_take(var, values, message, tmp_path, capsys):
+    out_path = tmp_path / "rejected.csv"
+    rc = main(["sweep", "--preset", "custom", "--var", var, "--values", values,
+               "--n-slots", "10", "--out", str(out_path)])
+    assert rc == 2
+    assert not out_path.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err

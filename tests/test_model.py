@@ -1,9 +1,15 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy import special
 
+import sensemat
 from sensemat.model import (
     ChannelProfile,
     SensingQuality,
@@ -150,3 +156,35 @@ def test_as_matrix_shapes():
     assert as_matrix([[1], [2]]).shape == (2, 1)
     with pytest.raises(ValueError):
         as_matrix([[[1]]])
+
+
+def _ulps(a, b):
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+def test_detector_quantile_matches_scipy_and_high_precision_forms():
+    # the detector curve takes Q^{-1}(p_d) from the standard library's
+    # NormalDist; hold it to scipy's erfcinv form and to a 50-digit quantile
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    grid = ([k / 1000 for k in range(1, 1000)]
+            + [2.0 ** -e for e in range(1, 53)]
+            + [1.0 - 2.0 ** -e for e in range(1, 54)])
+    for target_p_d in grid:
+        x = 1.0 - target_p_d
+        got = NormalDist().inv_cdf(x)
+        via_scipy = -math.sqrt(2.0) * float(special.erfcinv(2.0 * x))
+        via_mpmath = float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(x) - 1))
+        assert _ulps(got, via_scipy) <= 8, target_p_d
+        assert _ulps(got, via_mpmath) <= 6, target_p_d
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(pathlib.Path(sensemat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, sensemat.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
