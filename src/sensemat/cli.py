@@ -65,13 +65,16 @@ def _parse_matrix_arg(text: str, profile):
     return sm
 
 
+def _slot_matrix(cfg, slot: int):
+    """The allocator's matrix for ``slot`` of its rotation cycle."""
+    if slot < 1:
+        raise ValueError(f"--slot must be >= 1, got {slot}")
+    matrices = build_variant_matrices(cfg.sim_config())
+    return matrices[(slot - 1) % matrices.shape[0]]
+
+
 def _cmd_allocate(args) -> int:
-    cfg = _config_from(args)
-    sim = cfg.sim_config()
-    matrices = build_variant_matrices(sim)
-    slot = args.slot
-    sm = matrices[(slot - 1) % matrices.shape[0]]
-    _print_matrix(sm)
+    _print_matrix(_slot_matrix(_config_from(args), args.slot))
     return 0
 
 
@@ -80,9 +83,7 @@ def _cmd_analyze(args) -> int:
     if args.matrix is not None:
         sm = _parse_matrix_arg(args.matrix, cfg.profile)
     else:
-        sim = cfg.sim_config()
-        matrices = build_variant_matrices(sim)
-        sm = matrices[(args.slot - 1) % matrices.shape[0]]
+        sm = _slot_matrix(cfg, args.slot)
     report = network_throughput_closed_form(sm, cfg.profile, cfg.timing)
     exact = expected_throughput_exact(sm, cfg.profile, cfg.timing)
     _print_matrix(sm)

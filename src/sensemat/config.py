@@ -64,9 +64,27 @@ def _parse_scalar(kind: str, raw: str):
         if not body:
             raise ValueError("empty list")
         return tuple(float(tok) for tok in body.split(","))
-    if kind == "choice":
-        return raw
-    raise AssertionError(kind)
+    return raw  # a choice; validate() judges it
+
+
+def _coerce(key: str, value):
+    """Give ``value`` the type of ``key``'s SCHEMA kind; every config value
+    on its way into an ``ExperimentConfig`` passes through here."""
+    if key not in SCHEMA:
+        raise ConfigError(f"unknown config key {key!r}")
+    kind = SCHEMA[key][0]
+    try:
+        if isinstance(value, str) or kind in ("bool", "choice"):
+            return _parse_scalar(kind, str(value))
+        if kind == "floats":
+            return tuple(float(v) for v in value)
+        if kind == "float":
+            return float(value)
+        if float(value).is_integer():
+            return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from None
+    raise ConfigError(f"{key} takes whole numbers, got {value!r}")
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> "ExperimentConfig":
@@ -85,28 +103,12 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> "Exp
             key = key.strip()
             if key not in SCHEMA:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            kind = SCHEMA[key][0]
             try:
-                values[key] = _parse_scalar(kind, raw)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-    for key, value in (overrides or {}).items():
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        if value is None:
-            continue
-        kind = SCHEMA[key][0]
-        if isinstance(value, str):
-            try:
-                value = _parse_scalar(kind, value)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}") from None
-        if kind == "floats":
-            value = tuple(float(v) for v in value)
-        values[key] = value
-    cfg = ExperimentConfig(values=values)
-    cfg.validate()
-    return cfg
+                values[key] = _coerce(key, raw)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    changes = {key: value for key, value in (overrides or {}).items() if value is not None}
+    return ExperimentConfig(values=values).replace(**changes)
 
 
 @dataclass(frozen=True)
@@ -117,12 +119,12 @@ class ExperimentConfig:
         return self.values[key]
 
     def replace(self, **changes) -> "ExperimentConfig":
+        """A validated copy with ``changes`` coerced to their SCHEMA kinds."""
         merged = dict(self.values)
-        for key, value in changes.items():
-            if key not in SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = value
-        return ExperimentConfig(values=merged)
+        merged.update((key, _coerce(key, value)) for key, value in changes.items())
+        cfg = ExperimentConfig(values=merged)
+        cfg.validate()
+        return cfg
 
     @property
     def profile(self) -> ChannelProfile:
@@ -154,32 +156,25 @@ class ExperimentConfig:
         return 10.0 ** (self.values["snr_db"] / 10.0)
 
     def validate(self) -> None:
+        """Raise ConfigError unless every value makes a runnable experiment.
+
+        Building the ``SimConfig`` runs the range checks of the model types
+        and of ``SimConfig`` itself; the detector keys and the slot timing
+        are checked here, since no other type holds them.
+        """
+        t = self.values
         try:
-            profile = self.profile
-            self.timing
-            self.quality
-            self.energy
-            if self.values["n_su"] < 1:
-                raise ValueError("n_su must be >= 1")
-            if self.values["n_slots"] < 1:
-                raise ValueError("n_slots must be >= 1")
-            if self.values["repeat_cap"] < 1:
-                raise ValueError("repeat_cap must be >= 1")
-            if self.values["seed"] < 0:
-                raise ValueError("seed must be >= 0")
-            if self.values["allocator"] not in ALLOCATORS:
-                raise ValueError(f"allocator must be one of {ALLOCATORS}")
-            if self.values["sampling_freq"] <= 0:
+            sim = self.sim_config()
+            if t["sampling_freq"] <= 0:
                 raise ValueError("sampling_freq must be positive")
-            if not 0.0 < self.values["target_p_d"] < 1.0:
+            if not 0.0 < t["target_p_d"] < 1.0:
                 raise ValueError("target_p_d must lie in (0, 1)")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         try:
-            check_feasible(self.timing, profile.n_channels)
+            check_feasible(sim.timing, sim.profile.n_channels)
         except ValueError:
-            t = self.values
-            n_ch = len(t["p0"])
+            n_ch = sim.profile.n_channels
             raise ConfigError(
                 "infeasible timing: sensing_time + "
                 f"({n_ch} - 1) * (sensing_time + handover_time) must stay below "

@@ -153,8 +153,9 @@ def false_alarm_for_sensing_time(
         raise ValueError("snr must be positive")
     if not 0.0 < target_p_d < 1.0:
         raise ValueError("target_p_d must lie in (0, 1)")
-    # Q^{-1}(p_d) = Phi^{-1}(1 - p_d); the tail itself via the complementary error function
-    q_inv_pd = NormalDist().inv_cdf(1.0 - target_p_d)
+    # Q^{-1}(p_d) = -Phi^{-1}(p_d), which keeps its precision as p_d -> 0 where
+    # 1 - p_d would round to 1; the tail itself via the complementary error function
+    q_inv_pd = -NormalDist().inv_cdf(target_p_d)
     arg = math.sqrt(2.0 * snr + 1.0) * q_inv_pd + math.sqrt(sensing_time * sampling_freq) * snr
     value = 0.5 * math.erfc(arg / math.sqrt(2.0))
     return min(1.0, max(0.0, value))
@@ -191,3 +192,10 @@ def validate_matrix(sm, profile: ChannelProfile, repeat_cap: int | None = None) 
             if n > repeat_cap:
                 problems.append(f"channel {c} assigned {n} times, cap is {repeat_cap}")
     return problems
+
+
+def check_matrix(sm, profile: ChannelProfile) -> None:
+    """Raise ValueError naming every problem ``validate_matrix`` finds."""
+    problems = validate_matrix(sm, profile)
+    if problems:
+        raise ValueError("; ".join(problems))

@@ -41,6 +41,7 @@ from .model import (
     TimingConfig,
     as_matrix,
     check_feasible,
+    check_matrix,
     rate_table,
 )
 
@@ -128,6 +129,7 @@ def build_variant_matrices(cfg: SimConfig) -> np.ndarray:
                 f"fixed matrix shape {sm.shape} does not match "
                 f"(n_su={cfg.n_su}, n_channels={cfg.profile.n_channels})"
             )
+        check_matrix(sm, cfg.profile)
         return sm[np.newaxis, :, :]
     slots = range(1, cfg.n_su + 1) if cfg.rebuild_per_slot else (1,)
     mats = []

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .model import ChannelProfile, TimingConfig, as_matrix, check_feasible, rate_table
+from .model import (
+    ChannelProfile, TimingConfig, as_matrix, check_feasible, check_matrix, rate_table,
+)
 
 #: enumerating 2**n_channels primary patterns stays tractable up to here:
 #: with four users on full rows the exact kernel costs about 0.13 us per
@@ -71,6 +73,7 @@ def network_throughput_closed_form(
     appearance in the matrix earns p0 * rate(column); repeats within a
     column cancel, and channels already used in earlier columns earn 0."""
     sm = as_matrix(sm)
+    check_matrix(sm, profile)
     n_ch = profile.n_channels
     check_feasible(timing, n_ch)
     b = rate_table(timing, n_ch)
@@ -93,6 +96,7 @@ def network_throughput_closed_form(
 def expected_throughput_exact(sm, profile: ChannelProfile, timing: TimingConfig) -> float:
     """Exact expected error-free network throughput of a sensing matrix."""
     sm = as_matrix(sm)
+    check_matrix(sm, profile)
     n_ch = profile.n_channels
     if n_ch > MAX_EXACT_CHANNELS:
         raise ValueError(

@@ -319,3 +319,37 @@ def test_sweep_custom_rejects_values_its_key_cannot_take(var, values, message, t
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
+
+
+def test_replace_coerces_whole_numbers_for_int_keys():
+    changed = parse_config().replace(n_su=2.0)
+    assert changed["n_su"] == 2 and type(changed["n_su"]) is int
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"n_su": 0}, "n_su must be >= 1"),
+    ({"seed": 1.5}, "seed takes whole numbers"),
+    ({"warp": 1}, "unknown config key 'warp'"),
+])
+def test_replace_validates(changes, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config().replace(**changes)
+
+
+def test_sweep_fig7_takes_a_tiny_target_p_d(tmp_path, capsys):
+    # 1 - 1e-17 rounds to 1.0, whose normal quantile used to raise
+    out_path = tmp_path / "fig7.csv"
+    assert main(["sweep", "--preset", "fig7", "--target-p-d", "1e-17",
+                 "--n-slots", "10", "--out", str(out_path)]) == 0
+    _, columns, rows = read_csv(str(out_path))
+    assert all(0.0 <= r[columns.index("p_fa_mapped")] <= 1e-17 for r in rows)
+
+
+@pytest.mark.parametrize("command", ["allocate", "analyze"])
+@pytest.mark.parametrize("slot", ["0", "-1"])
+def test_slot_below_one_is_rejected(command, slot, capsys):
+    # slot 0 used to print slot 3's matrix, and -1 slot 2's
+    assert main([command, f"--slot={slot}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --slot must be >= 1, got {slot}\n"

@@ -30,6 +30,16 @@ CASES = {
     "custom_sensing-time": [
         "--preset", "custom", "--var", "sensing_time", "--values", "0.002,0.001,0.0035",
         "--n-slots", "50"],
+    "fig6_p0-0.5x3_n-su-2": ["--preset", "fig6", "--p0", "[0.5, 0.5, 0.5]", "--n-su", "2"],
+    "fig8_p-fa-0.2_p-d-0.8": ["--preset", "fig8", "--p-fa", "0.2", "--p-d", "0.8"],
+    "fig5_n-su-4": ["--preset", "fig5", "--n-su", "4"],
+    "fig4_allow-repeats_n-slots-20": ["--preset", "fig4", "--allow-repeats", "--n-slots", "20"],
+    "fig7_persistence-0.5": ["--preset", "fig7", "--persistence", "0.5"],
+    "custom_n-su": ["--preset", "custom", "--var", "n_su", "--values", "3,2"],
+    "custom_seed": ["--preset", "custom", "--var", "seed", "--values", "4,5"],
+    "custom_n-slots": ["--preset", "custom", "--var", "n_slots", "--values", "30,20"],
+    "custom_p-fa_msms": [
+        "--preset", "custom", "--var", "p_fa", "--values", "0.05,0.2", "--allocator", "msms"],
 }
 
 

@@ -163,21 +163,30 @@ def _ulps(a, b):
 
 
 def test_detector_quantile_matches_scipy_and_high_precision_forms():
-    # the detector curve takes Q^{-1}(p_d) from the standard library's
-    # NormalDist; hold it to scipy's erfcinv form and to a 50-digit quantile
+    # the detector curve takes Q^{-1}(p_d) = -Phi^{-1}(p_d) from the standard
+    # library's NormalDist; hold it to scipy's erfcinv form and to a
+    # 50-digit quantile, down to p_d far below where 1 - p_d rounds to 1
     import mpmath as mp
 
-    mp.mp.dps = 50
     grid = ([k / 1000 for k in range(1, 1000)]
             + [2.0 ** -e for e in range(1, 53)]
-            + [1.0 - 2.0 ** -e for e in range(1, 54)])
+            + [1.0 - 2.0 ** -e for e in range(1, 54)]
+            + [1e-17, 1e-30, 1e-300])
     for target_p_d in grid:
-        x = 1.0 - target_p_d
-        got = NormalDist().inv_cdf(x)
-        via_scipy = -math.sqrt(2.0) * float(special.erfcinv(2.0 * x))
-        via_mpmath = float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(x) - 1))
+        got = -NormalDist().inv_cdf(target_p_d)
+        via_scipy = math.sqrt(2.0) * float(special.erfcinv(2.0 * target_p_d))
+        # 2 * p_d - 1 keeps 50 digits of p_d only with that many more to spare
+        with mp.workdps(50 - min(0, math.floor(math.log10(target_p_d)))):
+            via_mpmath = float(-mp.sqrt(2) * mp.erfinv(2 * mp.mpf(target_p_d) - 1))
         assert _ulps(got, via_scipy) <= 8, target_p_d
         assert _ulps(got, via_mpmath) <= 6, target_p_d
+
+
+def test_tiny_target_p_d_maps_to_a_false_alarm_probability():
+    # 1 - 1e-17 rounds to 1.0, which the quantile used to be taken of
+    snr = 10 ** -1.5
+    values = [false_alarm_for_sensing_time(t, 6e6, snr, 1e-17) for t in (2e-4, 1e-3, 5e-3)]
+    assert all(0.0 <= v <= 1e-17 for v in values)
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -218,3 +218,10 @@ def test_kernel_paths_bit_identical(monkeypatch):
     assert vectorized.sensing_energy_mean == oracle.sensing_energy_mean
     assert vectorized.handover_energy_mean == oracle.handover_energy_mean
     assert np.array_equal(vectorized.per_su_sensing_mean, oracle.per_su_sensing_mean)
+
+
+def test_run_simulation_rejects_an_out_of_range_fixed_matrix():
+    cfg = SimConfig(profile=PROF5, n_su=1, n_slots=10, matrix=[[-1, 0, 0, 0, 0]],
+                    rebuild_per_slot=False)
+    with pytest.raises(ValueError, match=r"entry \[0,0\]=-1 outside 0..5"):
+        run_simulation(cfg)

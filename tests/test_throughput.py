@@ -86,7 +86,7 @@ def test_closed_form_single_user_example():
 
 def test_closed_form_in_column_repeats_cancel():
     profile = ChannelProfile([0.5, 0.6, 0.7])
-    report = network_throughput_closed_form([[1, 2], [1, 3]], profile, TIMING)
+    report = network_throughput_closed_form([[1, 2, 0], [1, 3, 0]], profile, TIMING)
     # channel 1 claimed twice in column 1 cancels; column 2 adds both
     assert report.per_column[0] == 0.0
     assert report.per_column[1] == pytest.approx((0.6 + 0.7) * B2, abs=1e-12)
@@ -218,3 +218,18 @@ def test_exact_channel_limit():
     sm[0, 0] = 1
     with pytest.raises(ValueError, match="exceeds"):
         expected_throughput_exact(sm, profile, TIMING)
+
+
+PROF5 = ChannelProfile([0.9, 0.8, 0.7, 0.6, 0.5])
+
+
+def test_exact_rejects_a_negative_entry():
+    # -1 used to wrap to channel 5 and score 0.597
+    with pytest.raises(ValueError, match=r"entry \[0,0\]=-1 outside 0..5"):
+        expected_throughput_exact([[-1, 0, 0, 0, 0]], PROF5, TIMING)
+
+
+def test_closed_form_rejects_a_short_row():
+    # a 2-wide matrix on 5 channels used to be scored as a 2-channel system
+    with pytest.raises(ValueError, match="row length 2 does not match channel count 5"):
+        network_throughput_closed_form([[1, 2]], PROF5, TIMING)
