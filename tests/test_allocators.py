@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -294,3 +296,73 @@ def test_zero_false_alarm_skips_exhausted_channels():
     prof = ChannelProfile([0.9])
     sm = build_msms_matrix(prof, TIMING, SensingQuality(0.0, 1.0), 3, repeat_cap=3)
     assert sm.tolist() == [[1], [0], [0]]
+
+
+# ---------------------------------------------------------------------------
+# golden builds: seeded inputs and the matrices all three builders made for
+# them, written once by ``PYTHONPATH=src python tests/test_allocators.py``
+# (from the repo root) and only rewritten by a change meant to alter a build
+
+BUILDS = pathlib.Path(__file__).with_name("golden") / "builds.json"
+
+
+def _golden_case(rng, i):
+    n_ch = int(rng.integers(1, 10))
+    kind = i % 5
+    if kind == 1:      # primary always present or always absent on some channels
+        p0 = np.where(rng.random(n_ch) < 0.5, rng.uniform(0.05, 0.95, n_ch),
+                      rng.integers(0, 2, n_ch).astype(float))
+    elif kind == 2:    # every channel tied
+        p0 = np.full(n_ch, float(rng.choice([0.0, 0.3, 0.5, 1.0])))
+    elif kind == 3:    # some channels tied
+        p0 = rng.choice([0.3, 0.6, 0.9], n_ch)
+    else:
+        p0 = rng.uniform(0.0, 1.0, n_ch)
+    p_fa = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 0.4))
+    p_d = 1.0 if rng.random() < 0.2 else float(rng.uniform(max(p_fa, 0.6), 1.0))
+    persistence = [1.0, 0.5, 1e-4, float(rng.uniform(0.05, 1.0))][int(rng.integers(0, 4))]
+    return {
+        "p0": [float(x) for x in p0],
+        "sensing_time": [0.001, 0.004, 0.01][int(rng.integers(0, 3))],
+        "p_fa": p_fa,
+        "p_d": p_d,
+        "persistence": persistence,
+        "n_su": int(rng.integers(1, 9)),
+        "slot": int(rng.integers(1, 10)),
+        "repeat_cap": int(rng.integers(1, 5)),
+    }
+
+
+def _golden_builds(case):
+    profile = ChannelProfile(case["p0"])
+    timing = TimingConfig(sensing_time=case["sensing_time"])
+    quality = SensingQuality(case["p_fa"], case["p_d"], case["persistence"])
+    n_su, slot, cap = case["n_su"], case["slot"], case["repeat_cap"]
+    return {
+        "sms": build_sms_matrix(profile, timing, n_su, slot=slot).tolist(),
+        "msms": build_msms_matrix(profile, timing, quality, n_su, slot=slot,
+                                  repeat_cap=cap).tolist(),
+        "pmsms": build_pmsms_matrix(profile, timing, quality, n_su, slot=slot,
+                                    repeat_cap=cap).tolist(),
+    }
+
+
+def test_builds_match_golden():
+    cases = json.loads(BUILDS.read_text())
+    assert len(cases) == 400
+    differing = [
+        (i, name)
+        for i, case in enumerate(cases)
+        for name, sm in _golden_builds(case).items()
+        if sm != case[name]
+    ]
+    assert differing == []
+
+
+if __name__ == "__main__":
+    rng = np.random.default_rng(27)
+    cases = []
+    for i in range(400):
+        case = _golden_case(rng, i)
+        cases.append({**case, **_golden_builds(case)})
+    BUILDS.write_text("[\n" + ",\n".join(json.dumps(c) for c in cases) + "\n]\n")
