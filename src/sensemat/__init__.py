@@ -26,14 +26,11 @@ from .throughput import (
     repetition_free_candidates,
 )
 from .allocators import (
-    OccupancyEstimate,
-    AllocationContext,
     rotation_start_user,
     sms_reward,
     cumulative_reward,
     build_sms_matrix,
     occupation_probability,
-    occupation_probability_pmac,
     contention_factor_hbar,
     msms_reward,
     pmsms_reward,

@@ -17,11 +17,16 @@ to ``repeat_cap`` times across the matrix.  ``build_pmsms_matrix``
 additionally models a persistence MAC where each user only senses with
 probability ``quality.persistence``; at persistence 1.0 it reduces to the
 MSMS build exactly.
+
+The error-aware reward lives in ``_reward`` alone: the builders score
+every candidate with it, and ``msms_reward``/``pmsms_reward`` expose it
+for a candidate whose row prefix is given as the ``q1`` occupancy of each
+earlier entry (``occupation_probability``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .model import (
     SensingQuality,
     TimingConfig,
     check_feasible,
+    per_slot_rate,
     rate_table,
 )
 
@@ -62,8 +68,7 @@ def sms_reward(channel, minislot, prefix, profile: ChannelProfile, timing: Timin
     still_searching = 1.0
     for c in prefix:
         still_searching *= 1.0 - profile.p0[c - 1]
-    b = rate_table(timing, minislot)[minislot - 1]
-    return still_searching * profile.p0[channel - 1] * b
+    return still_searching * profile.p0[channel - 1] * per_slot_rate(minislot, timing)
 
 
 def cumulative_reward(prefix, profile: ChannelProfile, timing: TimingConfig) -> float:
@@ -115,57 +120,40 @@ def build_sms_matrix(
 # sensing-error-aware schemes
 
 
-@dataclass(frozen=True)
-class OccupancyEstimate:
-    """Believed occupancy of a channel at some mini-slot: ``q1`` is the
-    probability the channel is unusable (primary present, or grabbed by one
-    of the ``prior_count`` users assigned to it in earlier mini-slots)."""
-
-    q1: float
-    prior_count: int
-
-    @property
-    def q0(self) -> float:
-        return 1.0 - self.q1
-
-
-def _occupancy_q1(p0_c: float, prior_count: int, persistence: float, p_fa: float) -> float:
-    if prior_count == 0:
-        return 1.0 - p0_c
-    # the channel stays usable only if it is primary-free and every prior
-    # assignee either skipped its sensing or false-alarmed
-    miss = 1.0 - persistence + persistence * p_fa
-    return 1.0 - p0_c * miss ** prior_count
-
-
 def _hbar(n_same_minislot: int, persistence: float, p_fa: float) -> float:
-    if persistence == 1.0:
-        return (1.0 - p_fa) * p_fa ** n_same_minislot
     miss = 1.0 - persistence + persistence * p_fa
     return persistence * (1.0 - p_fa) * miss ** n_same_minislot
 
 
+def _reward(c1, q1, n_same, b_m, persistence, p_fa) -> float:
+    """The error-aware reward: still searching (``c1``), channel usable
+    (``1 - q1``), no co-assignee in the mini-slot claims it, times the rate
+    ``b_m`` left at that mini-slot."""
+    return c1 * (1.0 - q1) * _hbar(n_same, persistence, p_fa) * b_m
+
+
+def _continue(c1, q1, quality: SensingQuality) -> float:
+    """Continue-probability after one more entry with occupancy ``q1``:
+    a false alarm on a free channel or a correct detection on a busy one."""
+    return c1 * ((1.0 - q1) * quality.p_fa + q1 * quality.p_d)
+
+
 def occupation_probability(
     channel: int, prior_count: int, profile: ChannelProfile, quality: SensingQuality
-) -> OccupancyEstimate:
-    """Occupancy estimate under the always-sense MAC."""
+) -> float:
+    """Probability ``q1`` that ``channel`` is unusable to its next assignee:
+    the primary is present, or one of the ``prior_count`` users assigned to
+    it in earlier mini-slots (each sensing with probability
+    ``quality.persistence``) read it free and took it."""
     if prior_count < 0:
         raise ValueError("prior_count must be >= 0")
-    q1 = _occupancy_q1(profile.p0[channel - 1], prior_count, 1.0, quality.p_fa)
-    return OccupancyEstimate(q1=q1, prior_count=prior_count)
-
-
-def occupation_probability_pmac(
-    channel: int, prior_count: int, profile: ChannelProfile, quality: SensingQuality
-) -> OccupancyEstimate:
-    """Occupancy estimate when prior assignees sense only with probability
-    ``quality.persistence``."""
-    if prior_count < 0:
-        raise ValueError("prior_count must be >= 0")
-    q1 = _occupancy_q1(
-        profile.p0[channel - 1], prior_count, quality.persistence, quality.p_fa
-    )
-    return OccupancyEstimate(q1=q1, prior_count=prior_count)
+    p0_c = profile.p0[channel - 1]
+    if prior_count == 0:
+        return 1.0 - p0_c
+    # the channel stays usable only if it is primary-free and every prior
+    # assignee either skipped its sensing or false-alarmed
+    miss = 1.0 - quality.persistence + quality.persistence * quality.p_fa
+    return 1.0 - p0_c * miss ** prior_count
 
 
 def contention_factor_hbar(n_same_minislot: int, quality: SensingQuality) -> float:
@@ -175,26 +163,6 @@ def contention_factor_hbar(n_same_minislot: int, quality: SensingQuality) -> flo
     if n_same_minislot < 0:
         raise ValueError("n_same_minislot must be >= 0")
     return _hbar(n_same_minislot, quality.persistence, quality.p_fa)
-
-
-def _prefix_continue_prob(prefix, quality: SensingQuality) -> float:
-    """Probability the user is still searching after its prefix entries:
-    per entry, either a false alarm on a free channel or a correct
-    detection on a busy one."""
-    c1 = 1.0
-    for est in prefix:
-        c1 *= est.q0 * quality.p_fa + est.q1 * quality.p_d
-    return c1
-
-
-def _reward_error_aware(
-    channel, minislot, prefix, n_same_minislot, prior_count,
-    profile, timing, quality, persistence,
-) -> float:
-    c1 = _prefix_continue_prob(prefix, quality)
-    q1 = _occupancy_q1(profile.p0[channel - 1], prior_count, persistence, quality.p_fa)
-    b = rate_table(timing, minislot)[minislot - 1]
-    return c1 * (1.0 - q1) * _hbar(n_same_minislot, persistence, quality.p_fa) * b
 
 
 def msms_reward(
@@ -208,11 +176,13 @@ def msms_reward(
     quality: SensingQuality,
 ) -> float:
     """Expected reward of the candidate under imperfect sensing: the user
-    must still be searching (``prefix``), find the channel free, and be the
-    only one of its ``n_same_minislot`` co-assignees to claim it."""
-    return _reward_error_aware(
+    must still be searching after its ``prefix`` (the ``q1`` of each
+    earlier entry, see ``occupation_probability``), find the channel free,
+    and be the only one of its ``n_same_minislot`` co-assignees to claim
+    it.  Every user is taken to sense; ``quality.persistence`` is ignored."""
+    return pmsms_reward(
         channel, minislot, prefix, n_same_minislot, prior_count,
-        profile, timing, quality, persistence=1.0,
+        profile, timing, replace(quality, persistence=1.0),
     )
 
 
@@ -228,106 +198,12 @@ def pmsms_reward(
 ) -> float:
     """Like ``msms_reward`` with the persistence MAC folded in; identical
     to it at persistence 1.0."""
-    return _reward_error_aware(
-        channel, minislot, prefix, n_same_minislot, prior_count,
-        profile, timing, quality, persistence=quality.persistence,
-    )
-
-
-@dataclass
-class AllocationContext:
-    """Mutable state of an error-aware build: assignment counts from the
-    already-fixed columns, counts inside the column being filled, and per
-    user the frozen occupancy estimates and credited rewards."""
-
-    n_channels: int
-    n_su: int
-    repeat_cap: int
-    prior_counts: np.ndarray = field(init=False)
-    column_counts: np.ndarray = field(init=False)
-    prefixes: list = field(init=False)
-    credited: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.prior_counts = np.zeros(self.n_channels + 1, dtype=np.int64)
-        self.column_counts = np.zeros(self.n_channels + 1, dtype=np.int64)
-        self.prefixes = [[] for _ in range(self.n_su + 1)]
-        self.credited = np.zeros(self.n_su + 1)
-
-    def candidates(self) -> list[int]:
-        return [
-            c
-            for c in range(1, self.n_channels + 1)
-            if self.prior_counts[c] + self.column_counts[c] < self.repeat_cap
-        ]
-
-    def commit(self, user: int, channel: int, estimate: OccupancyEstimate, reward: float):
-        self.column_counts[channel] += 1
-        self.prefixes[user].append(estimate)
-        self.credited[user] += reward
-
-    def finish_column(self):
-        self.prior_counts += self.column_counts
-        self.column_counts[:] = 0
-
-    def exhausted(self) -> bool:
-        return not self.candidates()
-
-
-def _build_error_aware(
-    profile: ChannelProfile,
-    timing: TimingConfig,
-    quality: SensingQuality,
-    n_su: int,
-    slot: int,
-    repeat_cap: int,
-    persistence: float,
-) -> np.ndarray:
-    if n_su < 1:
-        raise ValueError("n_su must be >= 1")
-    if repeat_cap < 1:
-        raise ValueError("repeat_cap must be >= 1")
-    n_ch = profile.n_channels
-    check_feasible(timing, n_ch)
-    b = rate_table(timing, n_ch)
-
-    sm = np.zeros((n_su, n_ch), dtype=np.int64)
-    ctx = AllocationContext(n_channels=n_ch, n_su=n_su, repeat_cap=repeat_cap)
-    order = _round_one_order(slot, n_su)
-
-    for m in range(1, n_ch + 1):
-        if ctx.exhausted():
-            break
-        for user in order:
-            cands = ctx.candidates()
-            if not cands:
-                continue
-            c1 = _prefix_continue_prob(ctx.prefixes[user], quality)
-            best_c = 0
-            best_r = 0.0
-            best_est = None
-            for c in cands:
-                q1 = _occupancy_q1(
-                    profile.p0[c - 1], int(ctx.prior_counts[c]), persistence, quality.p_fa
-                )
-                r = (
-                    c1
-                    * (1.0 - q1)
-                    * _hbar(int(ctx.column_counts[c]), persistence, quality.p_fa)
-                    * b[m - 1]
-                )
-                if r > best_r:
-                    best_r = r
-                    best_c = c
-                    best_est = OccupancyEstimate(q1=q1, prior_count=int(ctx.prior_counts[c]))
-            if best_c == 0:
-                # nothing offers positive reward; leave the mini-slot idle
-                continue
-            sm[user - 1, m - 1] = best_c
-            ctx.commit(user, best_c, best_est, best_r)
-        ctx.finish_column()
-        order = sorted(range(1, n_su + 1), key=lambda u: (ctx.credited[u], u))
-    return sm
+    c1 = 1.0
+    for q1 in prefix:
+        c1 = _continue(c1, q1, quality)
+    q1 = occupation_probability(channel, prior_count, profile, quality)
+    b_m = per_slot_rate(minislot, timing)
+    return _reward(c1, q1, n_same_minislot, b_m, quality.persistence, quality.p_fa)
 
 
 def build_msms_matrix(
@@ -340,8 +216,8 @@ def build_msms_matrix(
 ) -> np.ndarray:
     """Error-aware build under the always-sense MAC.  ``quality.persistence``
     is ignored here; it only matters to the PMAC variant."""
-    return _build_error_aware(
-        profile, timing, quality, n_su, slot, repeat_cap, persistence=1.0
+    return build_pmsms_matrix(
+        profile, timing, replace(quality, persistence=1.0), n_su, slot, repeat_cap
     )
 
 
@@ -355,7 +231,43 @@ def build_pmsms_matrix(
 ) -> np.ndarray:
     """Error-aware build that assumes users sense with probability
     ``quality.persistence`` each mini-slot."""
-    return _build_error_aware(
-        profile, timing, quality, n_su, slot, repeat_cap,
-        persistence=quality.persistence,
-    )
+    if n_su < 1:
+        raise ValueError("n_su must be >= 1")
+    if repeat_cap < 1:
+        raise ValueError("repeat_cap must be >= 1")
+    n_ch = profile.n_channels
+    check_feasible(timing, n_ch)
+    b = rate_table(timing, n_ch)
+
+    sm = np.zeros((n_su, n_ch), dtype=np.int64)
+    prior = np.zeros(n_ch + 1, dtype=np.int64)    # assignments in fixed columns
+    column = np.zeros(n_ch + 1, dtype=np.int64)   # assignments in this column
+    c1 = [1.0] * (n_su + 1)                       # continue-probability per user
+    credited = [0.0] * (n_su + 1)
+    order = _round_one_order(slot, n_su)
+
+    for m in range(1, n_ch + 1):
+        if (prior[1:] >= repeat_cap).all():
+            break   # every channel is at its cap
+        for user in order:
+            best_c = 0
+            best_r = 0.0
+            for c in range(1, n_ch + 1):
+                if prior[c] + column[c] >= repeat_cap:
+                    continue
+                q1 = occupation_probability(c, int(prior[c]), profile, quality)
+                r = _reward(c1[user], q1, int(column[c]), b[m - 1],
+                            quality.persistence, quality.p_fa)
+                if r > best_r:
+                    best_c, best_r, best_q1 = c, r, q1
+            if best_c == 0:
+                # nothing offers positive reward; leave the mini-slot idle
+                continue
+            sm[user - 1, m - 1] = best_c
+            column[best_c] += 1
+            c1[user] = _continue(c1[user], best_q1, quality)
+            credited[user] += best_r
+        prior += column
+        column[:] = 0
+        order = sorted(range(1, n_su + 1), key=lambda u: (credited[u], u))
+    return sm

@@ -165,6 +165,7 @@ def simulate_slot(sm, pu_state, quality: SensingQuality, timing: TimingConfig, r
     # threshold test reproduce them exactly whatever the uniforms are
     pu_u = np.zeros((1, n_ch))
     p0 = np.where(pu_busy, 0.0, 1.0)
+    check_matrix(sm, ChannelProfile(p0))
     persist_u = rng.random((1, n_su, n_ch))
     sense_u = rng.random((1, n_su, n_ch))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -13,7 +14,6 @@ from sensemat.allocators import (
     cumulative_reward,
     msms_reward,
     occupation_probability,
-    occupation_probability_pmac,
     pmsms_reward,
     rotation_start_user,
     sms_reward,
@@ -104,14 +104,14 @@ def test_sms_zero_reward_channels_still_assigned():
 def test_occupancy_estimates():
     prof = ChannelProfile([0.8])
     fresh = occupation_probability(1, 0, prof, Q_DEFAULT)
-    assert fresh.q1 == pytest.approx(0.2, abs=1e-12)
-    assert fresh.q0 == pytest.approx(0.8, abs=1e-12)
+    assert fresh == pytest.approx(0.2, abs=1e-12)
+    assert 1 - fresh == pytest.approx(0.8, abs=1e-12)
     # one earlier assignee: usable only if primary-free and it false-alarmed
     est = occupation_probability(1, 1, prof, Q_DEFAULT)
-    assert est.q1 == pytest.approx(1.0 - 0.8 * 0.1, abs=1e-12)
-    assert est.q1 == pytest.approx(0.92, abs=1e-12)
+    assert est == pytest.approx(1.0 - 0.8 * 0.1, abs=1e-12)
+    assert est == pytest.approx(0.92, abs=1e-12)
     two = occupation_probability(1, 2, prof, Q_DEFAULT)
-    assert two.q1 == pytest.approx(1.0 - 0.8 * 0.01, abs=1e-12)
+    assert two == pytest.approx(1.0 - 0.8 * 0.01, abs=1e-12)
     with pytest.raises(ValueError):
         occupation_probability(1, -1, prof, Q_DEFAULT)
 
@@ -121,10 +121,10 @@ def test_occupancy_estimates_with_persistence():
     qp = SensingQuality(p_fa=0.1, p_d=0.9, persistence=0.5)
     # a prior assignee misses the channel by skipping (0.5) or false-alarming
     # (0.5 * 0.1), so the channel stays usable with probability 0.8 * 0.55
-    est = occupation_probability_pmac(1, 1, prof, qp)
-    assert est.q1 == pytest.approx(0.56, abs=1e-12)
-    always = occupation_probability_pmac(1, 2, prof, SensingQuality(0.1, 0.9, 1.0))
-    assert always.q1 == pytest.approx(0.992, abs=1e-12)
+    est = occupation_probability(1, 1, prof, qp)
+    assert est == pytest.approx(0.56, abs=1e-12)
+    always = occupation_probability(1, 2, prof, SensingQuality(0.1, 0.9, 1.0))
+    assert always == pytest.approx(0.992, abs=1e-12)
 
 
 def test_occupancy_matches_binomial_expansion():
@@ -136,7 +136,7 @@ def test_occupancy_matches_binomial_expansion():
         pfa = float(rng.uniform(0.0, 0.5))
         n = int(rng.integers(0, 6))
         quality = SensingQuality(p_fa=pfa, p_d=1.0, persistence=pers)
-        est = occupation_probability_pmac(1, n, ChannelProfile([p0]), quality)
+        est = occupation_probability(1, n, ChannelProfile([p0]), quality)
         if n == 0:
             expect_q0 = p0
         else:
@@ -144,7 +144,7 @@ def test_occupancy_matches_binomial_expansion():
                 math.comb(n, k) * (pers * pfa) ** k * (1.0 - pers) ** (n - k)
                 for k in range(n + 1)
             )
-        assert est.q0 == pytest.approx(expect_q0, abs=1e-12)
+        assert 1 - est == pytest.approx(expect_q0, abs=1e-12)
 
 
 def test_contention_factor():
@@ -162,7 +162,7 @@ def test_contention_factor():
 
 
 def test_contention_factor_continuous_at_full_persistence():
-    # the dedicated persistence-1 branch must agree with the general form
+    # at persistence 1 the factor must equal the general form written out
     for n in range(4):
         general = 1.0 * (1.0 - 0.2) * (1.0 - 1.0 + 1.0 * 0.2) ** n
         assert contention_factor_hbar(n, SensingQuality(0.2, 0.9, 1.0)) == pytest.approx(
@@ -297,6 +297,58 @@ def test_zero_false_alarm_skips_exhausted_channels():
     sm = build_msms_matrix(prof, TIMING, SensingQuality(0.0, 1.0), 3, repeat_cap=3)
     assert sm.tolist() == [[1], [0], [0]]
 
+
+
+def _replay_error_aware(reward, profile, quality, n_su, slot, cap):
+    """Rebuild an msms/pmsms matrix from the public reward and occupancy
+    helpers alone, by the builder's rules: strict ``>`` in channel order,
+    idle when no reward is positive, later columns ordered by
+    ``(credited, user)``."""
+    n_ch = profile.n_channels
+    sm = np.zeros((n_su, n_ch), dtype=np.int64)
+    prior = [0] * (n_ch + 1)
+    prefixes = [[] for _ in range(n_su + 1)]
+    credited = [0.0] * (n_su + 1)
+    start = rotation_start_user(slot, n_su)
+    order = [1 + (start - 1 + k) % n_su for k in range(n_su)]
+    for m in range(1, n_ch + 1):
+        column = [0] * (n_ch + 1)
+        for user in order:
+            best_c, best_r = 0, 0.0
+            for c in range(1, n_ch + 1):
+                if prior[c] + column[c] < cap:
+                    r = reward(c, m, prefixes[user], column[c], prior[c], profile, TIMING, quality)
+                    if r > best_r:
+                        best_c, best_r = c, r
+            if best_c:
+                sm[user - 1, m - 1] = best_c
+                prefixes[user].append(occupation_probability(best_c, prior[best_c], profile, quality))
+                column[best_c] += 1
+                credited[user] += best_r
+        prior = [p + n for p, n in zip(prior, column)]
+        order = sorted(range(1, n_su + 1), key=lambda u: (credited[u], u))
+    return sm
+
+
+def test_builders_score_with_the_public_rewards():
+    rng = np.random.default_rng(5)
+    for i in range(300):
+        n_ch, n_su = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        p0 = rng.uniform(0.0, 1.0, n_ch)
+        if i % 3 == 0:
+            p0 = np.round(p0, 1)   # ties and exact zeros and ones
+        pfa = 0.0 if i % 4 == 0 else float(rng.uniform(0.0, 0.4))
+        persistence = [1.0, 0.5, 1e-4, float(rng.uniform(0.05, 1.0))][i % 4]
+        quality = SensingQuality(pfa, float(rng.uniform(max(pfa, 0.6), 1.0)), persistence)
+        profile = ChannelProfile(p0)
+        slot, cap = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        msms = build_msms_matrix(profile, TIMING, quality, n_su, slot=slot, repeat_cap=cap)
+        always = dataclasses.replace(quality, persistence=1.0)
+        assert np.array_equal(
+            msms, _replay_error_aware(msms_reward, profile, always, n_su, slot, cap))
+        pmsms = build_pmsms_matrix(profile, TIMING, quality, n_su, slot=slot, repeat_cap=cap)
+        assert np.array_equal(
+            pmsms, _replay_error_aware(pmsms_reward, profile, quality, n_su, slot, cap))
 
 # ---------------------------------------------------------------------------
 # golden builds: seeded inputs and the matrices all three builders made for

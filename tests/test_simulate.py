@@ -90,6 +90,13 @@ def test_slot_pu_state_shape_checked():
         simulate_slot([[1, 2]], [False], ERROR_FREE, TIMING, _rng())
 
 
+@pytest.mark.parametrize("row, entry", [([3, 0], r"entry \[0,0\]=3 outside 0..2"),
+                                        ([-1, 0], r"entry \[0,0\]=-1 outside 0..2")])
+def test_slot_rejects_an_out_of_range_entry(row, entry):
+    with pytest.raises(ValueError, match=entry):
+        simulate_slot([row], [True, False], ERROR_FREE, TIMING, _rng())
+
+
 def test_error_free_slot_agrees_with_exact_enumeration():
     # with sensing errors off, a slot walk is deterministic given the
     # primary states; point-mass profiles turn the analytic expectation
